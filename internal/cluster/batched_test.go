@@ -139,8 +139,8 @@ func TestBatchedSameBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchedAggregateOrderStable gates the epoch-drain map pre-sizing
-// (Aggregate.emitBefore, Join.evict) against output reordering: an
+// TestBatchedAggregateOrderStable gates Aggregate.emitBefore's
+// epoch-drain map pre-sizing against output reordering: an
 // aggregation query's final rows are emitted in sorted (epoch, key)
 // order per watermark, so a multi-epoch run — each epoch fully
 // draining and rebuilding the group map pre-sized from the last — must

@@ -104,6 +104,27 @@ func TestAllocsAggregateBatchSteadyState(t *testing.T) {
 	}
 }
 
+// TestAllocsJoinAdvanceNoClose: a watermark that closes no epoch
+// leaves the stored tuples untouched, so it allocates nothing however
+// much state the join holds.
+func TestAllocsJoinAdvanceNoClose(t *testing.T) {
+	skipIfRace(t)
+	const stored = 10000
+	j := epochJoin(gsql.JoinFullOuter, Discard{}, 60, true, true)
+	fillJoin(j, stored, 1)
+	wm := uint64(60) // boundary 1: epoch 1 stays open for 60 watermarks
+	got := testing.AllocsPerRun(50, func() {
+		wm++
+		j.LeftIn().Advance(wm)
+	})
+	if got != 0 {
+		t.Errorf("Join.Advance closing no epoch over %d stored tuples: %.2f allocs/op, want 0", stored, got)
+	}
+	if n := j.StoredTuples(); n != stored {
+		t.Fatalf("stored tuples = %d, want %d", n, stored)
+	}
+}
+
 // TestAllocsReport prints the measured values next to their budgets so
 // a budget bump has numbers to cite; it never fails.
 func TestAllocsReport(t *testing.T) {

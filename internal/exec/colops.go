@@ -993,12 +993,7 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 	}
 	j := p.j
 	b := cb.AppendRows(GetBatch())
-	side := &j.cfg.Left
-	myTab, otherTab := j.leftTab, j.rightTab
-	if !p.left {
-		side = &j.cfg.Right
-		myTab, otherTab = j.rightTab, j.leftTab
-	}
+	side, mine, other := j.sides(p.left)
 	if cb.AllUint() && side.colKeysReady() {
 		kvs := j.colKeyVecs[:0]
 		for i := range side.ColKeys {
@@ -1011,7 +1006,7 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 				vals = append(vals, sqlval.Uint(kv[i]))
 			}
 			j.valsBuf = vals
-			j.probeInsert(t, p.left, side, myTab, otherTab, vals)
+			j.probeInsert(t, p.left, side, mine, other, vals)
 		}
 	} else {
 		for _, t := range b {

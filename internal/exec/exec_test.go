@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -361,9 +363,13 @@ func sameRowSet(a, b []Tuple) bool {
 // buildPairsJoin assembles the paper's flow_pairs self-join: left key
 // (srcIP, tb), right key (srcIP, tb+1). Input columns: tb, srcIP, cnt.
 func buildPairsJoin(jt gsql.JoinType, out Consumer) *Join {
+	return NewJoin(pairsJoinConfig(jt, out))
+}
+
+func pairsJoinConfig(jt gsql.JoinType, out Consumer) JoinConfig {
 	r := res("tb", "srcIP", "cnt")
 	comb := res("tb", "srcIP", "cnt", "tb2", "srcIP2", "cnt2")
-	return NewJoin(JoinConfig{
+	return JoinConfig{
 		Left: JoinSideConfig{
 			Keys: []EvalFunc{
 				MustCompile(gsql.MustParseExpr("srcIP"), r, nil),
@@ -390,7 +396,7 @@ func buildPairsJoin(jt gsql.JoinType, out Consumer) *Join {
 			MustCompile(gsql.MustParseExpr("cnt2"), comb, nil),
 		},
 		Out: out,
-	})
+	}
 }
 
 func TestJoinConsecutiveEpochs(t *testing.T) {
@@ -413,22 +419,6 @@ func TestJoinConsecutiveEpochs(t *testing.T) {
 	// (tb=1, srcIP=1, cnt=7, cnt2=5).
 	if !row[0].Equal(u(1)) || !row[1].Equal(u(1)) || !row[2].Equal(u(7)) || !row[3].Equal(u(5)) {
 		t.Errorf("row = %v", row)
-	}
-}
-
-func TestJoinEvictionBoundsState(t *testing.T) {
-	sink := &Collector{}
-	j := buildPairsJoin(gsql.JoinInner, sink)
-	for epoch := uint64(0); epoch < 50; epoch++ {
-		j.LeftIn().Push(Tuple{u(epoch), u(epoch % 3), u(1)})
-		j.RightIn().Push(Tuple{u(epoch), u(epoch % 3), u(1)})
-		j.LeftIn().Advance(epoch * 60)
-		j.RightIn().Advance(epoch * 60)
-	}
-	// With eviction, state stays bounded to a couple of epochs of
-	// tuples rather than all 100.
-	if j.StoredTuples() > 8 {
-		t.Errorf("stored tuples = %d, eviction not working", j.StoredTuples())
 	}
 }
 
@@ -499,6 +489,277 @@ func TestJoinResidualPredicate(t *testing.T) {
 	j.RightIn().Flush()
 	if len(sink.Rows) != 1 || !sink.Rows[0][1].Equal(u(20)) {
 		t.Fatalf("rows = %v", sink.Rows)
+	}
+}
+
+// epochJoin joins tb, k, v rows on (k, tb), tb being the temporal key;
+// a side given a watermark promises no future tb below wm/width.
+// Output is both sides' columns.
+func epochJoin(jt gsql.JoinType, out Consumer, width uint64, leftWM, rightWM bool) *Join {
+	r := res("tb", "k", "v")
+	comb := res("tb", "k", "v", "tb2", "k2", "v2")
+	side := func(wm bool) JoinSideConfig {
+		s := JoinSideConfig{
+			Keys: []EvalFunc{
+				MustCompile(gsql.MustParseExpr("k"), r, nil),
+				MustCompile(gsql.MustParseExpr("tb"), r, nil),
+			},
+			Width:       3,
+			TemporalIdx: 1,
+		}
+		if wm {
+			s.MinFutureKey = func(wm uint64) sqlval.Value { return u(wm / width) }
+		}
+		return s
+	}
+	var projs []EvalFunc
+	for _, c := range []string{"tb", "k", "v", "tb2", "k2", "v2"} {
+		projs = append(projs, MustCompile(gsql.MustParseExpr(c), comb, nil))
+	}
+	return NewJoin(JoinConfig{Left: side(leftWM), Right: side(rightWM), Type: jt, Projs: projs, Out: out})
+}
+
+func leftPad(tb, k, v uint64) Tuple {
+	return Tuple{u(tb), u(k), u(v), sqlval.Null, sqlval.Null, sqlval.Null}
+}
+
+func rightPad(tb, k, v uint64) Tuple {
+	return Tuple{sqlval.Null, sqlval.Null, sqlval.Null, u(tb), u(k), u(v)}
+}
+
+// TestJoinMultiEpochEvictionPadsInOrder closes three epochs with one
+// watermark jump and checks the padding comes out in (temporal key,
+// key) order — left side before right — whatever order the epochs and
+// keys arrived in; entries sharing a key keep their arrival order.
+func TestJoinMultiEpochEvictionPadsInOrder(t *testing.T) {
+	leftPads := []Tuple{
+		leftPad(0, 5, 5), leftPad(0, 7, 7),
+		leftPad(1, 5, 15), leftPad(1, 5, 99), leftPad(1, 7, 17),
+		leftPad(2, 5, 25), leftPad(2, 7, 27),
+	}
+	rightPads := []Tuple{rightPad(0, 9, 100), rightPad(1, 9, 101), rightPad(2, 9, 102)}
+	for _, tc := range []struct {
+		name        string
+		jt          gsql.JoinType
+		evict, last []Tuple
+	}{
+		{"left", gsql.JoinLeftOuter, leftPads, []Tuple{leftPad(3, 1, 31)}},
+		{"right", gsql.JoinRightOuter, rightPads, []Tuple{rightPad(3, 2, 32)}},
+		{"full", gsql.JoinFullOuter, slices.Concat(leftPads, rightPads),
+			[]Tuple{leftPad(3, 1, 31), rightPad(3, 2, 32)}},
+	} {
+		sink := &Collector{}
+		j := epochJoin(tc.jt, sink, 60, true, true)
+		for _, tb := range []uint64{2, 0, 1} {
+			for _, k := range []uint64{7, 3, 5} {
+				j.LeftIn().Push(Tuple{u(tb), u(k), u(10*tb + k)})
+			}
+			j.RightIn().Push(Tuple{u(tb), u(9), u(100 + tb)})
+			j.RightIn().Push(Tuple{u(tb), u(3), u(200 + tb)})
+		}
+		j.LeftIn().Push(Tuple{u(1), u(5), u(99)})
+		j.LeftIn().Push(Tuple{u(3), u(1), u(31)})
+		j.RightIn().Push(Tuple{u(3), u(2), u(32)})
+		const matches = 3 // k=3 in epochs 0..2
+		if len(sink.Rows) != matches {
+			t.Fatalf("%s: %d rows before any watermark, want %d matches", tc.name, len(sink.Rows), matches)
+		}
+		j.LeftIn().Advance(59)
+		j.RightIn().Advance(59)
+		if len(sink.Rows) != matches || j.StoredTuples() != 18 {
+			t.Fatalf("%s: a watermark closing no epoch evicted: %d rows, %d stored", tc.name, len(sink.Rows), j.StoredTuples())
+		}
+		j.LeftIn().Advance(180)
+		j.RightIn().Advance(180)
+		diffBatches(t, tc.name+" eviction", tc.evict, sink.Rows[matches:])
+		if got := j.StoredTuples(); got != 2 {
+			t.Errorf("%s: %d tuples stored after closing epochs 0-2, want the 2 of epoch 3", tc.name, got)
+		}
+		n := len(sink.Rows)
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		diffBatches(t, tc.name+" flush", tc.last, sink.Rows[n:])
+		if j.StoredTuples() != 0 {
+			t.Errorf("%s: %d tuples stored after Flush", tc.name, j.StoredTuples())
+		}
+	}
+}
+
+// TestJoinNilMinFutureKeyDefersEviction: a side without MinFutureKey
+// never bounds its future keys, so the opposite side keeps every entry
+// until Flush while its own entries are still evicted.
+func TestJoinNilMinFutureKeyDefersEviction(t *testing.T) {
+	for _, nilLeft := range []bool{true, false} {
+		sink := &Collector{}
+		j := epochJoin(gsql.JoinFullOuter, sink, 60, !nilLeft, nilLeft)
+		var evicted, kept []Tuple
+		for tb := uint64(0); tb < 10; tb++ {
+			j.LeftIn().Push(Tuple{u(tb), u(1), u(tb)})
+			j.RightIn().Push(Tuple{u(tb), u(2), u(tb)})
+			j.LeftIn().Advance((tb + 1) * 60)
+			j.RightIn().Advance((tb + 1) * 60)
+			if nilLeft {
+				evicted, kept = append(evicted, leftPad(tb, 1, tb)), append(kept, rightPad(tb, 2, tb))
+			} else {
+				evicted, kept = append(evicted, rightPad(tb, 2, tb)), append(kept, leftPad(tb, 1, tb))
+			}
+		}
+		name := fmt.Sprintf("nilLeft=%v", nilLeft)
+		diffBatches(t, name+" before flush", evicted, sink.Rows)
+		if got := j.StoredTuples(); got != 10 {
+			t.Errorf("%s: %d stored, want the 10 entries awaiting Flush", name, got)
+		}
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		diffBatches(t, name+" flush", kept, sink.Rows[len(evicted):])
+	}
+}
+
+// TestJoinEvictionBoundsState drives the cross-epoch tb = tb2 + 1
+// self-join through 50 epochs: every pair and padded row appears, and
+// the stored state never exceeds one epoch of right-side rows.
+func TestJoinEvictionBoundsState(t *testing.T) {
+	const epochs, srcs = 50, 6
+	present := func(e, s uint64) bool { return (s*7+e*3)%4 != 0 }
+	cnt := func(e, s uint64) uint64 { return e*10 + s }
+	for _, jt := range []gsql.JoinType{gsql.JoinInner, gsql.JoinFullOuter} {
+		sink := &Collector{}
+		j := buildPairsJoin(jt, sink)
+		var want []Tuple
+		for e := uint64(0); e < epochs; e++ {
+			for s := uint64(0); s < srcs; s++ {
+				if !present(e, s) {
+					continue
+				}
+				j.LeftIn().Push(Tuple{u(e), u(s), u(cnt(e, s))})
+				j.RightIn().Push(Tuple{u(e), u(s), u(cnt(e, s))})
+				switch {
+				case e > 0 && present(e-1, s):
+					want = append(want, Tuple{u(e), u(s), u(cnt(e, s)), u(cnt(e-1, s))})
+				case jt == gsql.JoinFullOuter:
+					want = append(want, Tuple{u(e), u(s), u(cnt(e, s)), sqlval.Null})
+				}
+				if jt == gsql.JoinFullOuter && !(e+1 < epochs && present(e+1, s)) {
+					want = append(want, Tuple{sqlval.Null, sqlval.Null, sqlval.Null, u(cnt(e, s))})
+				}
+			}
+			j.LeftIn().Advance((e + 1) * 60)
+			j.RightIn().Advance((e + 1) * 60)
+			if got := j.StoredTuples(); got > srcs {
+				t.Fatalf("jt=%v epoch %d: %d tuples stored, want at most one epoch (%d)", jt, e, got, srcs)
+			}
+		}
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		if !sameRowSet(sink.Rows, want) {
+			t.Errorf("jt=%v: rows differ from the %d expected\n got %v\nwant %v", jt, len(want), sink.Rows, want)
+		}
+	}
+}
+
+// TestJoinTemporalKeysCompareEqualButEncodeApart: temporal key values
+// that compare equal share an epoch bucket, but only equal encodings
+// join. Uint 2^63 and float 2^63 compare equal and encode apart; int 5
+// and uint 5 share one encoding and do join.
+func TestJoinTemporalKeysCompareEqualButEncodeApart(t *testing.T) {
+	r := res("ts", "v")
+	comb := res("ts", "v", "ts2", "v2")
+	big := uint64(1) << 63
+	for _, tc := range []struct {
+		name string
+		a, b sqlval.Value
+		want []Tuple
+	}{
+		{"uint-float", sqlval.Uint(big), sqlval.Float(float64(big)),
+			[]Tuple{{u(3), u(2)}, {u(1), sqlval.Null}}},
+		{"int-uint", sqlval.Int(5), sqlval.Uint(5),
+			[]Tuple{{u(1), u(2)}, {u(3), u(2)}}},
+	} {
+		if tc.a.Compare(tc.b) != 0 {
+			t.Fatalf("%s: %v and %v do not compare equal", tc.name, tc.a, tc.b)
+		}
+		side := JoinSideConfig{
+			Keys:  []EvalFunc{MustCompile(gsql.MustParseExpr("ts"), r, nil)},
+			Width: 2,
+		}
+		sink := &Collector{}
+		j := NewJoin(JoinConfig{
+			Left: side, Right: side, Type: gsql.JoinFullOuter, Out: sink,
+			Projs: []EvalFunc{
+				MustCompile(gsql.MustParseExpr("v"), r, nil),
+				MustCompile(gsql.MustParseExpr("v2"), comb, nil),
+			},
+		})
+		j.LeftIn().Push(Tuple{tc.a, u(1)})
+		j.LeftIn().Push(Tuple{tc.b, u(3)})
+		j.RightIn().Push(Tuple{tc.b, u(2)})
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		diffBatches(t, tc.name, tc.want, sink.Rows)
+	}
+}
+
+// TestJoinPushPathsAgree feeds the same epochs through the scalar
+// Push, the batched PushBatch and the columnar PushCols of a full
+// outer cross-epoch join and requires identical rows in identical
+// order, padding included.
+func TestJoinPushPathsAgree(t *testing.T) {
+	r := res("tb", "srcIP", "cnt")
+	epochRows := func(e uint64) Batch {
+		var b Batch
+		for s := uint64(0); s < 9; s++ {
+			if (s*5+e*7)%3 != 0 {
+				b = append(b, Tuple{u(e), u(s), u(e*100 + s)})
+			}
+		}
+		return b
+	}
+	paths := []struct {
+		name     string
+		columnar bool
+		push     func(p *joinPort, b Batch)
+	}{
+		{"Push", false, func(p *joinPort, b Batch) {
+			for _, t := range b {
+				p.Push(t)
+			}
+		}},
+		{"PushBatch", false, func(p *joinPort, b Batch) { p.PushBatch(b) }},
+		{"PushCols", true, func(p *joinPort, b Batch) {
+			var cb ColBatch
+			if !cb.SetFromRows(b) {
+				t.Fatal("SetFromRows failed")
+			}
+			p.PushCols(&cb)
+		}},
+	}
+	var ref []Tuple
+	for _, path := range paths {
+		sink := &Collector{}
+		cfg := pairsJoinConfig(gsql.JoinFullOuter, sink)
+		if path.columnar {
+			cfg.Left.ColKeys = []ColExpr{mustCompileCol(t, "srcIP", r, nil), mustCompileCol(t, "tb", r, nil)}
+			cfg.Right.ColKeys = []ColExpr{mustCompileCol(t, "srcIP", r, nil), mustCompileCol(t, "tb + 1", r, nil)}
+			if !cfg.Left.colKeysReady() || !cfg.Right.colKeysReady() {
+				t.Fatal("join keys did not compile to column kernels")
+			}
+		}
+		j := NewJoin(cfg)
+		for e := uint64(0); e < 20; e++ {
+			path.push(&j.leftPort, epochRows(e))
+			path.push(&j.rightPort, epochRows(e))
+			if e%3 != 1 { // some watermarks close two epochs at once
+				j.LeftIn().Advance((e + 1) * 60)
+				j.RightIn().Advance((e + 1) * 60)
+			}
+		}
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		if ref == nil {
+			ref = sink.Rows
+			continue
+		}
+		diffBatches(t, path.name, ref, sink.Rows)
 	}
 }
 

@@ -3,7 +3,7 @@ package exec
 import (
 	"bytes"
 	"slices"
-	"sort"
+	"strings"
 
 	"qap/internal/gsql"
 	"qap/internal/sqlval"
@@ -951,8 +951,85 @@ type JoinConfig struct {
 type joinEntry struct {
 	key     string
 	tuple   Tuple
-	tkey    sqlval.Value
 	matched bool
+}
+
+// joinBucket holds one side's entries whose temporal key compares
+// equal to tkey, by encoded join key.
+type joinBucket struct {
+	tkey sqlval.Value
+	tab  map[string][]*joinEntry
+	n    int // entries stored
+}
+
+// joinState is one side's stored tuples, bucketed by temporal key in
+// ascending sqlval.Compare order. The temporal key is one of the
+// equi-join keys, so every entry under an encoded key shares one tkey
+// and no key spans two buckets: a probe reads the single bucket whose
+// tkey compares equal to its own, and eviction pops whole buckets off
+// the front, so a watermark that closes no epoch touches no entry.
+// This relies on Compare ordering temporal keys totally, which holds
+// for every value except NaN.
+type joinState struct {
+	buckets []joinBucket
+	// free holds drained bucket maps, cleared, for the next epoch to
+	// reuse at its drained size.
+	free []map[string][]*joinEntry
+}
+
+// find returns the index of the bucket whose tkey compares equal to
+// v, or the index a new bucket for v belongs at and false.
+func (s *joinState) find(v sqlval.Value) (int, bool) {
+	hi := len(s.buckets)
+	if hi == 0 {
+		return 0, false
+	}
+	// Most tuples belong to the newest epoch.
+	switch c := s.buckets[hi-1].tkey.Compare(v); {
+	case c == 0:
+		return hi - 1, true
+	case c < 0:
+		return hi, false
+	}
+	lo := 0
+	hi--
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.buckets[m].tkey.Compare(v) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, s.buckets[lo].tkey.Compare(v) == 0
+}
+
+// lookup returns the entries stored under encoded key kb, whose
+// temporal key is tkey.
+func (s *joinState) lookup(tkey sqlval.Value, kb []byte) []*joinEntry {
+	i, ok := s.find(tkey)
+	if !ok {
+		return nil
+	}
+	return s.buckets[i].tab[string(kb)]
+}
+
+// bucket returns the bucket for tkey, opening it if needed.
+//
+//qap:hot
+func (s *joinState) bucket(tkey sqlval.Value) *joinBucket {
+	i, ok := s.find(tkey)
+	if ok {
+		return &s.buckets[i]
+	}
+	var tab map[string][]*joinEntry
+	if n := len(s.free); n > 0 {
+		tab, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		tab = make(map[string][]*joinEntry) //qap:allow hotalloc -- one map per epoch while no drained map is free
+	}
+	s.buckets = slices.Insert(s.buckets, i, joinBucket{tkey: tkey, tab: tab})
+	return &s.buckets[i]
 }
 
 // Join is the symmetric hash join: each arriving tuple probes the
@@ -961,8 +1038,8 @@ type joinEntry struct {
 // can no longer match, emitting outer-join padding for unmatched rows.
 type Join struct {
 	cfg        JoinConfig
-	leftTab    map[string][]*joinEntry
-	rightTab   map[string][]*joinEntry
+	leftState  joinState
+	rightState joinState
 	leftPort   joinPort
 	rightPort  joinPort
 	lastWM     uint64
@@ -978,17 +1055,15 @@ type Join struct {
 	keyBuf    []byte
 	combBuf   Tuple
 	entrySlab []joinEntry
+	// padBuf collects an evicted bucket's unmatched entries.
+	padBuf []*joinEntry
 	// Columnar-path scratch (colops.go): per-batch key vectors.
 	colKeyVecs [][]uint64
 }
 
 // NewJoin builds the operator.
 func NewJoin(cfg JoinConfig) *Join {
-	j := &Join{
-		cfg:      cfg,
-		leftTab:  make(map[string][]*joinEntry),
-		rightTab: make(map[string][]*joinEntry),
-	}
+	j := &Join{cfg: cfg}
 	j.leftPort = joinPort{j: j, left: true}
 	j.rightPort = joinPort{j: j}
 	return j
@@ -1018,20 +1093,26 @@ func (p *joinPort) PushBatch(b Batch) {
 	}
 }
 
-func (j *Join) push(t Tuple, left bool) {
-	side := &j.cfg.Left
-	myTab, otherTab := j.leftTab, j.rightTab
-	if !left {
-		side = &j.cfg.Right
-		myTab, otherTab = j.rightTab, j.leftTab
+// sides returns the pushing side's config and state and the opposite
+// side's state.
+func (j *Join) sides(left bool) (*JoinSideConfig, *joinState, *joinState) {
+	if left {
+		return &j.cfg.Left, &j.leftState, &j.rightState
 	}
+	return &j.cfg.Right, &j.rightState, &j.leftState
+}
+
+func (j *Join) push(t Tuple, left bool) {
+	side, mine, other := j.sides(left)
 	vals := make([]sqlval.Value, len(side.Keys))
 	for i, k := range side.Keys {
 		vals[i] = k(t)
 	}
-	key := Key(vals)
-	e := &joinEntry{key: key, tuple: t, tkey: vals[side.TemporalIdx]}
-	for _, oe := range otherTab[key] {
+	tkey := vals[side.TemporalIdx]
+	kb := AppendKey(nil, vals)
+	key := string(kb)
+	e := &joinEntry{key: key, tuple: t}
+	for _, oe := range other.lookup(tkey, kb) {
 		var combined Tuple
 		if left {
 			combined = j.combine(t, oe.tuple)
@@ -1044,7 +1125,9 @@ func (j *Join) push(t Tuple, left bool) {
 		e.matched, oe.matched = true, true
 		j.emit(combined)
 	}
-	myTab[key] = append(myTab[key], e)
+	b := mine.bucket(tkey)
+	b.tab[key] = append(b.tab[key], e)
+	b.n++
 }
 
 // pushFast is push with the per-tuple allocations amortized: key
@@ -1055,18 +1138,13 @@ func (j *Join) push(t Tuple, left bool) {
 //
 //qap:hot
 func (j *Join) pushFast(t Tuple, left bool) {
-	side := &j.cfg.Left
-	myTab, otherTab := j.leftTab, j.rightTab
-	if !left {
-		side = &j.cfg.Right
-		myTab, otherTab = j.rightTab, j.leftTab
-	}
+	side, mine, other := j.sides(left)
 	vals := j.valsBuf[:0]
 	for _, k := range side.Keys {
 		vals = append(vals, k(t))
 	}
 	j.valsBuf = vals
-	j.probeInsert(t, left, side, myTab, otherTab, vals)
+	j.probeInsert(t, left, side, mine, other, vals)
 }
 
 // probeInsert is the build/probe body of pushFast, taking the
@@ -1075,15 +1153,17 @@ func (j *Join) pushFast(t Tuple, left bool) {
 // with kernel-evaluated keys.
 //
 //qap:hot
-func (j *Join) probeInsert(t Tuple, left bool, side *JoinSideConfig, myTab, otherTab map[string][]*joinEntry, vals []sqlval.Value) {
+func (j *Join) probeInsert(t Tuple, left bool, side *JoinSideConfig, mine, other *joinState, vals []sqlval.Value) {
+	tkey := vals[side.TemporalIdx]
 	kb := AppendKey(j.keyBuf[:0], vals)
 	j.keyBuf = kb
-	matches := otherTab[string(kb)]
-	mine := myTab[string(kb)]
+	matches := other.lookup(tkey, kb)
+	bk := mine.bucket(tkey)
+	stored := bk.tab[string(kb)]
 	var key string
 	switch {
-	case len(mine) > 0:
-		key = mine[0].key
+	case len(stored) > 0:
+		key = stored[0].key
 	case len(matches) > 0:
 		key = matches[0].key
 	default:
@@ -1094,7 +1174,7 @@ func (j *Join) probeInsert(t Tuple, left bool, side *JoinSideConfig, myTab, othe
 	}
 	e := &j.entrySlab[0]
 	j.entrySlab = j.entrySlab[1:]
-	*e = joinEntry{key: key, tuple: t, tkey: vals[side.TemporalIdx]}
+	*e = joinEntry{key: key, tuple: t}
 	for _, oe := range matches {
 		comb := j.combBuf[:0]
 		if left {
@@ -1111,7 +1191,8 @@ func (j *Join) probeInsert(t Tuple, left bool, side *JoinSideConfig, myTab, othe
 		e.matched, oe.matched = true, true
 		j.emit(comb)
 	}
-	myTab[key] = append(mine, e)
+	bk.tab[key] = append(stored, e)
+	bk.n++
 }
 
 func (j *Join) combine(l, r Tuple) Tuple {
@@ -1137,11 +1218,11 @@ func (j *Join) advance(wm uint64) {
 	// produce their key, and vice versa.
 	if j.cfg.Right.MinFutureKey != nil {
 		b := j.cfg.Right.MinFutureKey(wm)
-		j.leftTab = j.evict(j.leftTab, &b, true)
+		j.evict(&j.leftState, &b, true)
 	}
 	if j.cfg.Left.MinFutureKey != nil {
 		b := j.cfg.Left.MinFutureKey(wm)
-		j.rightTab = j.evict(j.rightTab, &b, false)
+		j.evict(&j.rightState, &b, false)
 	}
 	j.cfg.Out.Advance(wm)
 }
@@ -1152,50 +1233,53 @@ func (j *Join) portFlush() {
 		return
 	}
 	j.flushed = true
-	j.leftTab = j.evict(j.leftTab, nil, true)
-	j.rightTab = j.evict(j.rightTab, nil, false)
+	j.evict(&j.leftState, nil, true)
+	j.evict(&j.rightState, nil, false)
 	j.cfg.Out.Flush()
 }
 
-// evict removes entries with temporal key below boundary (all when
-// nil), emitting outer-join padding for never-matched rows. It returns
-// the table to keep using: when an epoch fully drains, a fresh map
-// pre-sized from the drained cardinality replaces the old one (see the
-// matching rebuild in Aggregate.emitBefore).
-func (j *Join) evict(tab map[string][]*joinEntry, boundary *sqlval.Value, left bool) map[string][]*joinEntry {
-	var unmatched []*joinEntry
-	drained := 0
-	for key, entries := range tab { //qap:allow maprange -- delete-only; unmatched sorted before padding
-		var keep []*joinEntry
-		for _, e := range entries {
-			if boundary != nil && e.tkey.Compare(*boundary) >= 0 {
-				keep = append(keep, e)
-				continue
+// evict pops the buckets whose temporal key is below boundary (all
+// when nil), emitting outer-join padding for never-matched rows in
+// (tkey, key) order; entries sharing a key keep their arrival order.
+// Drained maps are kept for reuse unless the side is being flushed.
+func (j *Join) evict(s *joinState, boundary *sqlval.Value, left bool) {
+	k := 0
+	for k < len(s.buckets) && (boundary == nil || s.buckets[k].tkey.Compare(*boundary) < 0) {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	pads := j.padsSide(left)
+	for i := range s.buckets[:k] {
+		b := &s.buckets[i]
+		if pads {
+			unmatched := j.padBuf[:0]
+			for _, es := range b.tab { //qap:allow maprange -- collect-only; sorted by key before padding
+				for _, e := range es {
+					if !e.matched {
+						unmatched = append(unmatched, e)
+					}
+				}
 			}
-			if !e.matched && j.padsSide(left) {
-				unmatched = append(unmatched, e)
+			slices.SortStableFunc(unmatched, func(a, b *joinEntry) int { return strings.Compare(a.key, b.key) })
+			for _, e := range unmatched {
+				j.emit(j.pad(e.tuple, left))
 			}
+			clear(unmatched)
+			j.padBuf = unmatched[:0]
 		}
-		if len(keep) == 0 {
-			delete(tab, key)
-			drained++
-		} else {
-			tab[key] = keep
+		if boundary != nil {
+			clear(b.tab)
+			s.free = append(s.free, b.tab)
 		}
 	}
-	if boundary != nil && len(tab) == 0 && drained > 0 {
-		tab = make(map[string][]*joinEntry, drained)
+	n := copy(s.buckets, s.buckets[k:])
+	clear(s.buckets[n:])
+	s.buckets = s.buckets[:n]
+	if boundary == nil {
+		s.free = nil
 	}
-	sort.Slice(unmatched, func(a, b int) bool {
-		if c := unmatched[a].tkey.Compare(unmatched[b].tkey); c != 0 {
-			return c < 0
-		}
-		return unmatched[a].key < unmatched[b].key
-	})
-	for _, e := range unmatched {
-		j.emit(j.pad(e.tuple, left))
-	}
-	return tab
 }
 
 // padsSide reports whether unmatched rows of the given side appear in
@@ -1235,11 +1319,10 @@ func (j *Join) pad(t Tuple, left bool) Tuple {
 // accounting and eviction tests.
 func (j *Join) StoredTuples() int {
 	n := 0
-	for _, es := range j.leftTab { //qap:allow maprange -- commutative count
-		n += len(es)
-	}
-	for _, es := range j.rightTab { //qap:allow maprange -- commutative count
-		n += len(es)
+	for _, s := range []*joinState{&j.leftState, &j.rightState} {
+		for i := range s.buckets {
+			n += s.buckets[i].n
+		}
 	}
 	return n
 }

@@ -19,6 +19,11 @@ type Splitter struct {
 	stop  chan struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
+	// hellos counts peers whose first handshake has not concluded.
+	// Close waits for them, so every node hears a Hello — and can
+	// name a fatal mismatch — even when another host's rejection
+	// aborts the run first.
+	hellos sync.WaitGroup
 }
 
 // NewSplitter builds a splitter for one host address per leaf island.
@@ -45,6 +50,7 @@ func NewSplitter(cfg Config, hello Hello, addrs []string) *Splitter {
 
 // Start launches the per-host connection loops.
 func (s *Splitter) Start() {
+	s.hellos.Add(len(s.peers))
 	for _, p := range s.peers {
 		s.wg.Add(1)
 		go p.run()
@@ -95,8 +101,11 @@ func (s *Splitter) Wait(d time.Duration) error {
 	}
 }
 
-// Close aborts every peer and waits for them to exit.
+// Close aborts every peer and waits for them to exit. A peer still in
+// its first handshake finishes it first; the handshake's I/O deadlines
+// bound that wait.
 func (s *Splitter) Close() {
+	s.hellos.Wait()
 	s.once.Do(func() { close(s.stop) })
 	for _, p := range s.peers {
 		p.out.close()
@@ -131,6 +140,7 @@ type peer struct {
 	result     []byte
 	attempts   int
 	fails      int
+	greeted    sync.Once
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -149,8 +159,13 @@ func (p *peer) stopping() bool {
 	}
 }
 
+// handshook marks the peer's first handshake concluded, whatever its
+// outcome.
+func (p *peer) handshook() { p.greeted.Do(p.sp.hellos.Done) }
+
 func (p *peer) run() {
 	defer p.sp.wg.Done()
+	defer p.handshook()
 	dial := p.sp.cfg.dialFn()
 	for {
 		if p.stopping() {
@@ -169,6 +184,7 @@ func (p *peer) run() {
 			p.mu.Unlock()
 			conn.Close()
 		}
+		p.handshook()
 		if p.finished() || p.stopping() {
 			return
 		}
@@ -220,6 +236,7 @@ func (p *peer) session(conn net.Conn) error {
 	p.wantResult = w.HasResult
 	p.out.rewind(w.ResumeFeed)
 	p.fails = 0
+	p.handshook()
 
 	s := newSession(conn, p.sp.cfg, p.out, frameLinkAck)
 	s.start()
