@@ -14,12 +14,12 @@ package cluster
 // (replayLinks), so canonical outputs, OpStats, monitoring series, and
 // trace bytes are byte-identical to the simulator:
 //
-//   - The driver reproduces the parallel engine's round structure
-//     verbatim — same rounds, same tags, same per-destination grouping
-//     (scalar rounds ship maximal same-destination runs whose tags the
-//     node re-expands per tuple; batched rounds ship the batched
-//     driver's per-partition groups) — so each node executes exactly
-//     the event sequence the simulator's worker would.
+//   - The driver is the simulator's drive loop (roundSource) with the
+//     parallel engine's lanes — same rounds, same tags, same
+//     per-destination grouping (scalar rounds ship maximal
+//     same-destination runs whose tags the node re-expands per tuple)
+//     — and each node runs the same round executor (islandExec) the
+//     simulator's workers do.
 //
 //   - Tuples travel in the exec batch wire codec, which round-trips
 //     every value bit-exactly (floats as IEEE bits), so operator state
@@ -43,12 +43,9 @@ import (
 	"sync"
 	"time"
 
-	"qap/internal/exec"
 	"qap/internal/live"
-	"qap/internal/netgen"
 	"qap/internal/obs"
 	"qap/internal/obs/trace"
-	"qap/internal/sqlval"
 )
 
 // LiveConfig tunes the live backend.
@@ -97,15 +94,12 @@ func (r *Runner) liveTransportConfig() live.Config {
 
 // runLive executes the trace on the live TCP backend. The caller
 // goroutine runs the central replay loop, exactly like runParallel.
-func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
+func (r *Runner) runLive(cursors []*streamCursor, xs []*islandExec) (*Result, error) {
 	hosts := r.plan.Hosts
 	bs := r.batchSize
 
-	advTargets, flushTargets := r.buildTargets(cursors)
-	outs := make([][]exec.Consumer, len(cursors))
 	streams := make([]string, len(cursors))
 	for i, c := range cursors {
-		outs[i] = c.rt.outs
 		streams[i] = c.name
 	}
 	fp := r.liveFingerprint()
@@ -131,11 +125,7 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	addrs := r.liveCfg.Nodes
 	if !remote {
 		for h := 0; h < hosts; h++ {
-			x := &islandExec{
-				r: r, isl: r.islands[h],
-				adv: advTargets[h], flush: flushTargets[h],
-				outs: outs, bs: bs,
-			}
+			x := xs[h]
 			ncfg := lcfg
 			if r.liveCfg.Faults != nil {
 				ncfg.WrapAccept = r.liveCfg.Faults.WrapAccept(h)
@@ -179,34 +169,51 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 		nodeWG.Wait()
 	}
 
+	// The driver ships each lane as a serialized feed message, so the
+	// rounds and their tuple containers are free again once it returns.
+	s := r.newRoundSource(cursors, hosts, r.batchRounds)
+	s.keep = true
+	s.ship = func(l int, rounds []live.Round, last bool) error {
+		if err := sp.SendFeed(l, &live.FeedMsg{Last: last, Rounds: rounds}); err != nil {
+			return err
+		}
+		s.release(rounds)
+		r.engBatches++
+		return nil
+	}
 	driveErr := make(chan error, 1)
 	var driverWG sync.WaitGroup
-	var dAny bool
-	var dMax uint64
 	driverWG.Add(1)
 	go func() {
 		defer driverWG.Done()
-		if err := r.driveLive(sp, cursors, &dAny, &dMax); err != nil {
+		if err := s.run(); err != nil {
 			driveErr <- err
 		}
 	}()
 
+	var timer *time.Timer
 	recv := func(waiting string) (linkBatch, error) {
-		timer := time.NewTimer(recvTimeout) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
-		defer timer.Stop()
+		if timer == nil {
+			timer = time.NewTimer(recvTimeout) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
+		} else {
+			timer.Reset(recvTimeout)
+		}
+		var m *live.LinkMsg
+		var err error
 		select {
-		case m := <-sp.Links():
-			return r.linkBatchOf(m)
-		case err := <-sp.Errs():
-			return linkBatch{}, err
-		case err := <-nodeErr:
-			return linkBatch{}, err
-		case err := <-driveErr:
-			return linkBatch{}, err
+		case m = <-sp.Links():
+		case err = <-sp.Errs():
+		case err = <-nodeErr:
+		case err = <-driveErr:
 		case <-timer.C:
 			return linkBatch{}, fmt.Errorf("cluster: live drive stalled: no link message within %s (%s)",
 				recvTimeout, waiting)
 		}
+		stopTimer(timer)
+		if err != nil {
+			return linkBatch{}, err
+		}
+		return r.linkBatchOf(m)
 	}
 	if err := r.replayLinks(hosts, recv); err != nil {
 		closeAll()
@@ -240,141 +247,7 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	// closeAll is then a no-op join that also gives finalize a
 	// happens-before edge on every island shard.
 	closeAll()
-	return r.finalize(dAny, dMax), nil
-}
-
-// driveLive is the live splitter: the same canonical cursor merge,
-// routing, round structure, and tagging as the simulator's drivers,
-// shipped as serialized feed messages instead of channel sends.
-func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *bool, dMax *uint64) error {
-	hosts := r.plan.Hosts
-	bs := r.batchSize
-	batched := bs > 1
-
-	cursorIdx := make(map[*streamCursor]int, len(cursors))
-	for i, c := range cursors {
-		cursorIdx[c] = i
-	}
-
-	pend := make([][]live.Round, hosts)
-	pendingRounds := 0
-	round := -1
-	ship := func(last bool) error {
-		for i := 0; i < hosts; i++ {
-			m := &live.FeedMsg{Last: last, Rounds: pend[i]}
-			if err := sp.SendFeed(i, m); err != nil {
-				return err
-			}
-			// SendFeed serialized the message; recycle the containers.
-			for ri := range pend[i] {
-				for gi := range pend[i][ri].Groups {
-					exec.PutBatch(pend[i][ri].Groups[gi].Tuples)
-				}
-			}
-			pend[i] = nil
-		}
-		pendingRounds = 0
-		r.engBatches += int64(hosts)
-		return nil
-	}
-	openRound := func(wm uint64) {
-		round++
-		r.engRounds++
-		for i := 0; i < hosts; i++ {
-			pend[i] = append(pend[i], live.Round{Round: round, WM: wm, Adv: true})
-		}
-	}
-	if batched {
-		for _, c := range cursors {
-			c.gidx = make([]int, len(c.rt.outs))
-			c.gstamp = make([]int, len(c.rt.outs))
-			for p := range c.gstamp {
-				c.gstamp[p] = -1
-			}
-		}
-	}
-	var valSlab []sqlval.Value
-	var lastTime uint64
-	first := true
-	seq := uint64(0) // round-local push sequence
-	for {
-		best := nextCursor(cursors)
-		if best == nil {
-			break
-		}
-		pk := &best.packets[best.pos]
-		best.pos++
-		*dAny = true
-		if pk.Time > *dMax {
-			*dMax = pk.Time
-		}
-		if first || pk.Time > lastTime {
-			if !first {
-				if r.trDriver != nil {
-					r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: round, WM: lastTime, Rows: int64(seq)})
-				}
-				pendingRounds++
-				if pendingRounds >= r.batchRounds {
-					if err := ship(false); err != nil {
-						return err
-					}
-				}
-			}
-			openRound(pk.Time)
-			seq = 0
-			lastTime, first = pk.Time, false
-		}
-		if cap(valSlab)-len(valSlab) < netgen.TupleCols {
-			valSlab = make([]sqlval.Value, 0, tupleSlabVals)
-		}
-		var t exec.Tuple
-		valSlab, t = pk.AppendTuple(valSlab)
-		idx := best.rt.route(t)
-		id := best.rt.islands[idx]
-		sIdx := cursorIdx[best]
-		hr := &pend[id][len(pend[id])-1]
-		if batched {
-			// One group per destination partition per round, tagged with
-			// its first tuple's sequence — the batched drivers' grouping.
-			if best.gstamp[idx] != round {
-				best.gstamp[idx] = round
-				best.gidx[idx] = len(hr.Groups)
-				hr.Groups = append(hr.Groups, live.Group{
-					Tag: phasePush | seq, Stream: sIdx, Part: idx, Tuples: exec.GetBatch(),
-				})
-			}
-			g := &hr.Groups[best.gidx[idx]]
-			g.Tuples = append(g.Tuples, t)
-		} else {
-			// Scalar rounds ship maximal same-destination runs of
-			// consecutive sequences; the node re-expands them into
-			// per-tuple tagged pushes, reproducing the scalar engine's
-			// interleaved delivery order exactly.
-			extended := false
-			if n := len(hr.Groups); n > 0 {
-				g := &hr.Groups[n-1]
-				if g.Stream == sIdx && g.Part == idx && g.Tag+uint64(len(g.Tuples)) == phasePush|seq {
-					g.Tuples = append(g.Tuples, t)
-					extended = true
-				}
-			}
-			if !extended {
-				hr.Groups = append(hr.Groups, live.Group{
-					Tag: phasePush | seq, Stream: sIdx, Part: idx,
-					Tuples: append(exec.GetBatch(), t),
-				})
-			}
-		}
-		seq++
-	}
-	r.emitDriverTail(round, int64(seq), lastTime)
-	// The flush round.
-	round++
-	r.engRounds++
-	for i := 0; i < hosts; i++ {
-		pend[i] = append(pend[i], live.Round{Round: round, Flush: true})
-	}
-	return ship(true)
+	return r.finalize(s.fed(), s.wm), nil
 }
 
 // linkBatchOf converts a received link message into the replay merge's
@@ -410,85 +283,21 @@ func (r *Runner) linkBatchOf(m *live.LinkMsg) (linkBatch, error) {
 	return b, nil
 }
 
-// islandExec executes one leaf island's feed messages — the node-side
-// half of the live backend. It reproduces the parallel engine's worker
-// loop exactly: advances, tagged pushes, flushes, window closes, and
-// island-crossing capture into the outbox.
-type islandExec struct {
-	r          *Runner
-	isl        *island
-	adv, flush []tagged
-	// outs[s][p] is stream s's partition-p scan entry, with s indexing
-	// the splitter's canonical stream order.
-	outs [][]exec.Consumer
-	bs   int
-	// colScratch pivots delivered chunks into columns when the runner
-	// is columnar; Execute runs on one goroutine per node, so the
-	// scratch has a single writer.
-	colScratch exec.ColBatch
-	// shipResult marks a remotely served island (ServeLiveHost): the
-	// final island shards travel back in a result frame.
-	shipResult bool
-}
-
-// Execute implements live.Executor.
+// Execute implements live.Executor: it checks the feed's group
+// targets (they arrived over the wire), runs the rounds, and ships the
+// captured island-crossing deliveries.
 func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
-	isl := x.isl
-	r := x.r
-	last := 0
 	for ri := range m.Rounds {
-		rd := &m.Rounds[ri]
-		isl.curRound = rd.Round
-		last = rd.Round
-		if rd.Adv {
-			isl.curWM = rd.WM
-			// Close the leaf island's monitoring windows at the same
-			// boundary every other engine does: before the new round
-			// touches any counter.
-			if r.winSec > 0 {
-				isl.closeWindowsTo(int(rd.WM / r.winSec))
-			}
-			for _, at := range x.adv {
-				isl.curTag = at.tag
-				at.c.Advance(rd.WM)
-			}
-		}
-		for gi := range rd.Groups {
-			g := &rd.Groups[gi]
+		for gi := range m.Rounds[ri].Groups {
+			g := &m.Rounds[ri].Groups[gi]
 			if g.Stream < 0 || g.Stream >= len(x.outs) || g.Part < 0 || g.Part >= len(x.outs[g.Stream]) {
 				return nil, fmt.Errorf("group targets stream %d partition %d out of range", g.Stream, g.Part)
 			}
-			out := x.outs[g.Stream][g.Part]
-			if x.bs > 1 {
-				isl.curTag = g.Tag
-				for off := 0; off < len(g.Tuples); off += x.bs {
-					end := off + x.bs
-					if end > len(g.Tuples) {
-						end = len(g.Tuples)
-					}
-					chunk := g.Tuples[off:end]
-					if r.columnar && x.colScratch.SetFromRows(chunk) {
-						exec.PushColsAll(out, &x.colScratch)
-					} else {
-						exec.PushAll(out, chunk)
-					}
-				}
-			} else {
-				for i := range g.Tuples {
-					isl.curTag = g.Tag + uint64(i)
-					out.Push(g.Tuples[i])
-				}
-			}
-		}
-		if rd.Flush {
-			for _, ft := range x.flush {
-				isl.curTag = ft.tag
-				ft.c.Flush()
-			}
 		}
 	}
-	items := isl.outbox
-	isl.outbox = nil
+	last := x.execute(m.Rounds)
+	items := x.isl.outbox
+	x.isl.outbox = nil
 	lm := &live.LinkMsg{Through: last, Done: m.Last}
 	if len(items) > 0 {
 		lm.Items = make([]live.Item, len(items))
@@ -645,7 +454,6 @@ func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) e
 	if host < 0 || host >= r.plan.Hosts {
 		return fmt.Errorf("cluster: host %d out of range (plan has %d)", host, r.plan.Hosts)
 	}
-	x := &islandExec{r: r, isl: r.islands[host], bs: r.batchSize, shipResult: true}
 	lcfg := r.liveTransportConfig()
 	if r.liveCfg.Faults != nil {
 		lcfg.WrapAccept = r.liveCfg.Faults.WrapAccept(host)
@@ -663,18 +471,16 @@ func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) e
 			if len(h.Streams) != len(r.routers) {
 				return nil, fmt.Errorf("splitter feeds %d streams, plan has %d", len(h.Streams), len(r.routers))
 			}
-			outs := make([][]exec.Consumer, len(h.Streams))
 			cs := make([]*streamCursor, len(h.Streams))
 			for i, name := range h.Streams {
 				rt, ok := r.routers[name]
 				if !ok {
 					return nil, fmt.Errorf("plan has no source stream %q", name)
 				}
-				outs[i] = rt.outs
 				cs[i] = &streamCursor{name: name, rt: rt}
 			}
-			adv, flush := r.buildTargets(cs)
-			x.adv, x.flush, x.outs = adv[host], flush[host], outs
+			x := r.islandExecs(cs)[host]
+			x.shipResult = true
 			return x, nil
 		},
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"qap/internal/core"
@@ -122,20 +123,33 @@ func TestTwoStreamJoinPushdown(t *testing.T) {
 	}
 }
 
+// TestRunStreamsRejectsUnordered: every delivery rejects a trace that
+// is not time-ordered with an error naming the stream and the index,
+// and rejects a stream the plan does not read.
 func TestRunStreamsRejectsUnordered(t *testing.T) {
 	g := buildTwoStream(t)
-	p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
-	r, err := New(p, DefaultCosts(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunStreams(map[string][]netgen.Packet{
-		"PKT1": {{Time: 5}, {Time: 3}},
-	}); err == nil {
-		t.Error("unordered trace should be rejected")
-	}
-	if _, err := r.RunStreams(map[string][]netgen.Packet{"NOPE": nil}); err == nil {
-		t.Error("unknown stream should be rejected")
+	for _, d := range driveConfigs {
+		t.Run(d.name, func(t *testing.T) {
+			p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 2, PartitionsPerHost: 1})
+			cfg := d.cfg
+			cfg.Costs = DefaultCosts()
+			r, err := NewRunner(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.RunStreams(map[string][]netgen.Packet{
+				"PKT1": {{Time: 1}, {Time: 5}, {Time: 3}},
+			})
+			if err == nil {
+				t.Fatal("unordered trace should be rejected")
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"PKT1"`) || !strings.Contains(msg, "index 2") {
+				t.Errorf("error %q should name stream PKT1 and index 2", msg)
+			}
+			if _, err := r.RunStreams(map[string][]netgen.Packet{"NOPE": nil}); err == nil {
+				t.Error("unknown stream should be rejected")
+			}
+		})
 	}
 }
 

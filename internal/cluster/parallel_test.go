@@ -3,6 +3,7 @@ package cluster
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"qap/internal/core"
 	"qap/internal/netgen"
@@ -28,6 +29,22 @@ func runWorkers(t testing.TB, queries string, ps core.Set, o optimizer.Options, 
 		t.Fatal(err)
 	}
 	return res
+}
+
+// driveConfigs holds one RunConfig per delivery of the drive loop:
+// the sequential engine tuple by tuple, batched and columnar, the
+// parallel engine on rows and on columns, and the live backend. Callers
+// fill in costs and parameters.
+var driveConfigs = []struct {
+	name string
+	cfg  RunConfig
+}{
+	{"seq-batch1", RunConfig{Workers: 1, BatchSize: 1}},
+	{"seq-batched", RunConfig{Workers: 1, BatchSize: defaultBatchSize}},
+	{"seq-columnar", RunConfig{Workers: 1, BatchSize: 64, Columnar: true}},
+	{"parallel-rows", RunConfig{Workers: 4, BatchSize: 64}},
+	{"parallel-columnar", RunConfig{Workers: 4, BatchSize: 64, Columnar: true}},
+	{"live", RunConfig{Workers: 2, BatchSize: 64, Engine: EngineLive, DriveTimeout: 30 * time.Second}},
 }
 
 // sameResult asserts byte-identical results: same output rows in the
@@ -208,9 +225,10 @@ func TestParallelBatchSizes(t *testing.T) {
 
 // TestCursorOrderStable is the regression test for the unstable cursor
 // sort: two equal-length streams sharing every timestamp must merge in
-// the same order on every run, regardless of map iteration order. The
-// join's output order is sensitive to the merge order, so identical
-// outputs across fresh runners prove the tie-break works.
+// the same order on every run, regardless of map iteration order, under
+// every delivery. The join's output order is sensitive to the merge
+// order, so identical outputs across fresh runners prove the tie-break
+// works.
 func TestCursorOrderStable(t *testing.T) {
 	g := buildTwoStream(t)
 	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
@@ -224,30 +242,36 @@ func TestCursorOrderStable(t *testing.T) {
 	a := []netgen.Packet{mk(0, 1, 1), mk(0, 2, 2), mk(1, 1, 1), mk(1, 2, 2)}
 	b := []netgen.Packet{mk(0, 2, 2), mk(0, 1, 1), mk(1, 2, 2), mk(1, 1, 1)}
 
-	var want *Result
-	for i := 0; i < 30; i++ {
-		p, err := optimizer.Build(g, nil, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := New(p, DefaultCosts(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.RunStreams(map[string][]netgen.Packet{"PKT1": a, "PKT2": b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows := got.Outputs["combined"]; len(rows) != 4 {
-			t.Fatalf("want 4 join rows, got %d", len(rows))
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(want.Outputs, got.Outputs) {
-			t.Fatalf("run %d: output order drifted across identical runs", i)
-		}
+	for _, d := range driveConfigs {
+		t.Run(d.name, func(t *testing.T) {
+			var want *Result
+			for i := 0; i < 30; i++ {
+				p, err := optimizer.Build(g, nil, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := d.cfg
+				cfg.Costs = DefaultCosts()
+				r, err := NewRunner(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := r.RunStreams(map[string][]netgen.Packet{"PKT1": a, "PKT2": b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rows := got.Outputs["combined"]; len(rows) != 4 {
+					t.Fatalf("want 4 join rows, got %d", len(rows))
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+					t.Fatalf("run %d: output order drifted across identical runs", i)
+				}
+			}
+		})
 	}
 }
 

@@ -19,11 +19,15 @@ import (
 // Runner instantiates a distributed physical plan into live operators
 // with accounting on every edge, and drives packet traces through it.
 //
-// A Runner executes either sequentially (Workers <= 1: one goroutine
-// pushes every tuple through the whole operator graph) or in parallel
-// (Workers > 1: one worker goroutine per simulated host plus a central
-// replay goroutine, see engine.go). Both modes produce byte-identical
-// Results. A Runner holds operator state and is good for one run.
+// Every run goes through one drive loop (roundSource, engine.go) that
+// merges the input, cuts rounds, routes, and groups; only the per-round
+// delivery depends on the engine. Workers <= 1 executes each round
+// inline on the calling goroutine (the sequential engine); Workers > 1
+// ships the rounds to one worker goroutine per simulated host and
+// replays their island-crossing deliveries centrally (the parallel
+// engine); EngineLive ships them to TCP nodes (live.go). Every engine
+// produces byte-identical Results. A Runner holds operator state and is
+// good for one run.
 type Runner struct {
 	plan        *optimizer.Plan
 	cost        CostConfig
@@ -192,7 +196,6 @@ const (
 	EngineLive = "live"
 )
 
-// island is the unit of parallel execution: the operators of one
 // aggInstance pairs a built aggregate with its physical operator ID so
 // finalize can harvest per-op group high-water marks into
 // Result.SizeHints.
@@ -201,6 +204,7 @@ type aggInstance struct {
 	agg *exec.Aggregate
 }
 
+// island is the unit of parallel execution: the operators of one
 // simulated host's capture processes (a leaf island, one per host), or
 // the central root process on the aggregator host. Each island owns a
 // metrics shard and a NodeRows shard so no accounting state is shared
@@ -238,7 +242,8 @@ type island struct {
 	opKind  map[int]string
 	opQuery map[int]string
 
-	// Parallel-mode state, owned by the island's worker goroutine.
+	// Delivery stamps, written by the island's round executor and read
+	// by its captures.
 	curRound int
 	curTag   uint64
 	outbox   []linkItem
@@ -607,14 +612,16 @@ func (r *Runner) Run(stream string, packets []netgen.Packet) (*Result, error) {
 // streamCursor walks one source stream's trace during the merge.
 type streamCursor struct {
 	name    string // lower-case stream name
+	idx     int    // position in the canonical merge order
 	rt      *router
 	packets []netgen.Packet
 	pos     int
 
-	// Batched-driver bookkeeping: gidx[p] is the arena index of
-	// partition p's open tuple group, valid only while gstamp[p] equals
-	// the current round.
-	gidx, gstamp []int
+	// Drive-loop routing scratch, per destination partition p: lane[p]
+	// is the lane holding p's groups, and gidx[p] is the index of p's
+	// open group in that lane's round, valid only while gstamp[p]
+	// equals the current round.
+	lane, gidx, gstamp []int
 }
 
 // makeCursors validates the input traces and fixes the canonical merge
@@ -642,6 +649,9 @@ func (r *Runner) makeCursors(streams map[string][]netgen.Packet) ([]*streamCurso
 		}
 		return cursors[i].name < cursors[j].name
 	})
+	for i, c := range cursors {
+		c.idx = i
+	}
 	return cursors, nil
 }
 
@@ -670,337 +680,14 @@ func (r *Runner) RunStreams(streams map[string][]netgen.Packet) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	if r.engine == EngineLive && r.parallel {
-		return r.runLive(cursors)
+	xs := r.islandExecs(cursors)
+	switch {
+	case r.engine == EngineLive && r.parallel:
+		return r.runLive(cursors, xs)
+	case r.parallel:
+		return r.runParallel(cursors, xs)
 	}
-	if r.parallel && r.engine != EngineLive {
-		return r.runParallel(cursors)
-	}
-	if r.batchSize > 1 {
-		if r.columnar {
-			return r.runSequentialColumnar(cursors)
-		}
-		return r.runSequentialBatched(cursors)
-	}
-	return r.runSequential(cursors)
-}
-
-// runSequential drives the merged trace through the operator graph on
-// the calling goroutine, one tuple at a time.
-func (r *Runner) runSequential(cursors []*streamCursor) (*Result, error) {
-	var lastTime, maxTime uint64
-	first := true
-	any := false
-	trRound, trPk := -1, int64(0)
-	for {
-		best := nextCursor(cursors)
-		if best == nil {
-			break
-		}
-		pk := &best.packets[best.pos]
-		best.pos++
-		any = true
-		if pk.Time > maxTime {
-			maxTime = pk.Time
-		}
-		if first || pk.Time > lastTime {
-			// The splitter's trace shard closes the previous round: the
-			// same (round, watermark, packets) triple on every engine.
-			if r.trDriver != nil && trRound >= 0 {
-				r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: trRound, WM: lastTime, Rows: trPk})
-			}
-			trRound, trPk = trRound+1, 0
-			// Close monitoring windows before the new round touches any
-			// counter: all work for rounds in earlier windows is done.
-			if r.winSec > 0 {
-				r.closeAllWindowsTo(int(pk.Time / r.winSec))
-			}
-			// The global watermark advances every stream's pipeline.
-			for _, c := range cursors {
-				c.rt.Advance(pk.Time)
-			}
-			lastTime, first = pk.Time, false
-			r.engRounds++
-		}
-		trPk++
-		best.rt.Push(pk.Tuple())
-	}
-	r.emitDriverTail(trRound, trPk, lastTime)
-	// Flush in canonical stream order: every router, sorted by name.
-	for _, name := range r.routerNames {
-		r.routers[name].Flush()
-	}
-	r.engRounds++ // the flush round
-	return r.finalize(any, maxTime), nil
-}
-
-// emitDriverTail closes the final data round on the splitter's trace
-// shard and records the end-of-stream flush round.
-func (r *Runner) emitDriverTail(trRound int, trPk int64, lastTime uint64) {
-	if r.trDriver == nil {
-		return
-	}
-	if trRound >= 0 {
-		r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: trRound, WM: lastTime, Rows: trPk})
-	}
-	r.trDriver.Emit(trace.Event{Kind: trace.KindFlush, Round: trRound + 1, WM: lastTime})
-}
-
-// seqGroup is one destination partition's buffered tuples within the
-// current round of the batched sequential driver.
-type seqGroup struct {
-	out    exec.Consumer
-	tuples exec.Batch
-}
-
-// tupleSlabVals sizes the shared tuple-backing slabs the batched
-// drivers carve packet tuples from (512 packets per slab).
-const tupleSlabVals = 512 * netgen.TupleCols
-
-// runSequentialBatched is the batch-at-a-time sequential driver: the
-// same round structure as runSequential (advances, then the round's
-// tuples, then the final flush round), but each round's tuples are
-// buffered per destination partition and delivered at the round
-// boundary as batches of up to batchSize, in the order each
-// destination first appeared in the round. Tuple values are carved
-// from shared slabs instead of one allocation per packet. The parallel
-// engine's batched driver replays the identical grouping, so results
-// at a given BatchSize are byte-identical for any worker count.
-//
-//qap:hot
-func (r *Runner) runSequentialBatched(cursors []*streamCursor) (*Result, error) {
-	bs := r.batchSize
-	for _, c := range cursors {
-		c.gidx = make([]int, len(c.rt.outs))   //qap:allow hotalloc -- routing scratch, once per cursor per run
-		c.gstamp = make([]int, len(c.rt.outs)) //qap:allow hotalloc -- routing scratch, once per cursor per run
-		for p := range c.gstamp {
-			c.gstamp[p] = -1
-		}
-	}
-	var (
-		groups  []seqGroup // the round's groups, in first-tuple order
-		valSlab []sqlval.Value
-		// Slab recycling, when the plan severs scan-tuple aliases
-		// (scanTuplesSevered): a slab exhausted mid-round only holds
-		// tuples buffered for the current or already-delivered rounds,
-		// so once flushRound has delivered the round it can be reused
-		// instead of left to the collector. The parallel driver never
-		// recycles — captured island crossings may reference tuples
-		// until the central replay reaches them.
-		spentSlabs [][]sqlval.Value
-		freeSlabs  [][]sqlval.Value
-	)
-	reuse := r.reuseTupleSlabs
-	flushRound := func() { //qap:allow hotalloc -- closure built once per run
-		for i := range groups {
-			g := &groups[i]
-			for off := 0; off < len(g.tuples); off += bs {
-				end := off + bs
-				if end > len(g.tuples) {
-					end = len(g.tuples)
-				}
-				exec.PushAll(g.out, g.tuples[off:end])
-			}
-			exec.PutBatch(g.tuples)
-			g.out, g.tuples = nil, nil
-		}
-		groups = groups[:0]
-		if len(spentSlabs) > 0 {
-			freeSlabs = append(freeSlabs, spentSlabs...)
-			spentSlabs = spentSlabs[:0]
-		}
-	}
-	var lastTime, maxTime uint64
-	first := true
-	any := false
-	round := 0
-	trRound, trPk := -1, int64(0)
-	for {
-		best := nextCursor(cursors)
-		if best == nil {
-			break
-		}
-		pk := &best.packets[best.pos]
-		best.pos++
-		any = true
-		if pk.Time > maxTime {
-			maxTime = pk.Time
-		}
-		if first || pk.Time > lastTime {
-			flushRound()
-			if r.trDriver != nil && trRound >= 0 {
-				r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: trRound, WM: lastTime, Rows: trPk})
-			}
-			trRound, trPk = trRound+1, 0
-			// Close monitoring windows after the previous round's
-			// buffered deliveries, so its work lands in its own window.
-			if r.winSec > 0 {
-				r.closeAllWindowsTo(int(pk.Time / r.winSec))
-			}
-			round++
-			for _, c := range cursors {
-				c.rt.Advance(pk.Time)
-			}
-			lastTime, first = pk.Time, false
-			r.engRounds++
-		}
-		if cap(valSlab)-len(valSlab) < netgen.TupleCols {
-			if reuse && cap(valSlab) > 0 {
-				spentSlabs = append(spentSlabs, valSlab)
-			}
-			if n := len(freeSlabs); reuse && n > 0 {
-				valSlab = freeSlabs[n-1][:0]
-				freeSlabs = freeSlabs[:n-1]
-			} else {
-				valSlab = make([]sqlval.Value, 0, tupleSlabVals) //qap:allow hotalloc -- slab growth, amortized over tupleSlabVals values
-			}
-		}
-		trPk++
-		var t exec.Tuple
-		valSlab, t = pk.AppendTuple(valSlab)
-		idx := best.rt.route(t)
-		if best.gstamp[idx] != round {
-			best.gstamp[idx] = round
-			best.gidx[idx] = len(groups)
-			groups = append(groups, seqGroup{out: best.rt.outs[idx], tuples: exec.GetBatch()})
-		}
-		g := &groups[best.gidx[idx]]
-		g.tuples = append(g.tuples, t)
-	}
-	flushRound()
-	r.emitDriverTail(trRound, trPk, lastTime)
-	for _, name := range r.routerNames {
-		r.routers[name].Flush()
-	}
-	r.engRounds++ // the flush round
-	return r.finalize(any, maxTime), nil
-}
-
-// colSeqGroup is one destination partition's buffered columns within
-// the current round of the columnar sequential driver.
-type colSeqGroup struct {
-	out  exec.Consumer
-	cols *exec.ColBatch
-}
-
-// runSequentialColumnar is the columnar sequential driver: the exact
-// round structure and per-destination grouping of runSequentialBatched,
-// but each group buffers the round's packets as eight uint64 column
-// vectors instead of carved tuples, and delivers them at the round
-// boundary as ColBatch chunks of up to batchSize through the operators'
-// columnar fast paths (exec/colops.go). The ColBatch ownership contract
-// (valid only during the call) lets the driver recycle every column
-// slab unconditionally — no scanTuplesSevered gating. Every observable
-// output is byte-identical to the scalar batched driver at the same
-// BatchSize.
-//
-//qap:hot
-func (r *Runner) runSequentialColumnar(cursors []*streamCursor) (*Result, error) {
-	bs := r.batchSize
-	for _, c := range cursors {
-		c.gidx = make([]int, len(c.rt.outs))   //qap:allow hotalloc -- routing scratch, once per cursor per run
-		c.gstamp = make([]int, len(c.rt.outs)) //qap:allow hotalloc -- routing scratch, once per cursor per run
-		for p := range c.gstamp {
-			c.gstamp[p] = -1
-		}
-	}
-	var (
-		groups   []colSeqGroup    // the round's groups, in first-tuple order
-		free     []*exec.ColBatch // recycled column batches
-		view     exec.ColBatch    // zero-copy chunk window over a group
-		routeBuf []sqlval.Value   // hash-routing tuple scratch, reused per packet
-	)
-	flushRound := func() { //qap:allow hotalloc -- closure built once per run
-		for i := range groups {
-			g := &groups[i]
-			cb := g.cols
-			for off := 0; off < cb.Len; off += bs {
-				end := off + bs
-				if end > cb.Len {
-					end = cb.Len
-				}
-				cb.Slice(off, end, &view)
-				exec.PushColsAll(g.out, &view)
-			}
-			cb.Reset()
-			free = append(free, cb)
-			g.out, g.cols = nil, nil
-		}
-		groups = groups[:0]
-	}
-	var lastTime, maxTime uint64
-	first := true
-	any := false
-	round := 0
-	trRound, trPk := -1, int64(0)
-	for {
-		best := nextCursor(cursors)
-		if best == nil {
-			break
-		}
-		pk := &best.packets[best.pos]
-		best.pos++
-		any = true
-		if pk.Time > maxTime {
-			maxTime = pk.Time
-		}
-		if first || pk.Time > lastTime {
-			flushRound()
-			if r.trDriver != nil && trRound >= 0 {
-				r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: trRound, WM: lastTime, Rows: trPk})
-			}
-			trRound, trPk = trRound+1, 0
-			if r.winSec > 0 {
-				r.closeAllWindowsTo(int(pk.Time / r.winSec))
-			}
-			round++
-			for _, c := range cursors {
-				c.rt.Advance(pk.Time)
-			}
-			lastTime, first = pk.Time, false
-			r.engRounds++
-		}
-		trPk++
-		var idx int
-		if best.rt.hashFns == nil {
-			// Round-robin routing never reads the tuple.
-			idx = best.rt.route(nil)
-		} else {
-			var t exec.Tuple
-			routeBuf, t = pk.AppendTuple(routeBuf[:0])
-			idx = best.rt.route(t)
-		}
-		if best.gstamp[idx] != round {
-			best.gstamp[idx] = round
-			best.gidx[idx] = len(groups)
-			var cb *exec.ColBatch
-			if n := len(free); n > 0 {
-				cb = free[n-1]
-				free = free[:n-1]
-			} else {
-				cb = new(exec.ColBatch) //qap:allow hotalloc -- one batch per live destination, recycled across rounds
-			}
-			groups = append(groups, colSeqGroup{out: best.rt.outs[idx], cols: cb})
-		}
-		pk.AppendCols(groups[best.gidx[idx]].cols)
-	}
-	flushRound()
-	r.emitDriverTail(trRound, trPk, lastTime)
-	for _, name := range r.routerNames {
-		r.routers[name].Flush()
-	}
-	r.engRounds++ // the flush round
-	return r.finalize(any, maxTime), nil
-}
-
-// closeAllWindowsTo closes monitoring windows up to win on every
-// island. Only the sequential drivers use it — the parallel engine
-// closes leaf windows on the worker goroutines and central windows on
-// the replay goroutine, at the same canonical points.
-func (r *Runner) closeAllWindowsTo(win int) {
-	for _, isl := range r.islands {
-		isl.closeWindowsTo(win)
-	}
+	return r.runSequential(cursors, xs[0])
 }
 
 // finalize merges the per-island accounting shards (in a fixed order,
@@ -1297,22 +984,6 @@ func (rt *router) route(t exec.Tuple) int {
 	h := sqlval.HashTuple(vals)
 	// Range split: partition i receives H in [i*R/M, (i+1)*R/M).
 	return int((h >> 32) * uint64(len(rt.outs)) >> 32)
-}
-
-func (rt *router) Push(t exec.Tuple) {
-	rt.outs[rt.route(t)].Push(t)
-}
-
-func (rt *router) Advance(wm uint64) {
-	for _, o := range rt.outs {
-		o.Advance(wm)
-	}
-}
-
-func (rt *router) Flush() {
-	for _, o := range rt.outs {
-		o.Flush()
-	}
 }
 
 // ---- edge accounting ----

@@ -120,41 +120,48 @@ func TestTraceRebuildsLoadSeries(t *testing.T) {
 	}
 }
 
-// TestTraceRoundEvents: driver rounds are dense from 0 with
-// nondecreasing watermarks, the packet counts sum to the stream size,
-// and the flush record closes the sequence.
+// TestTraceRoundEvents: under every delivery, driver rounds are dense
+// from 0 with nondecreasing watermarks, the packet counts sum to the
+// stream size, and the flush record closes the sequence.
 func TestTraceRoundEvents(t *testing.T) {
 	tr := driftTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
-	res := runTraced(t, streams, 1, 1, 0, &trace.Config{})
-	next := 0
-	var pk int64
-	lastWM := uint64(0)
-	flushes := 0
-	for _, e := range res.Trace.Records {
-		switch e.Kind {
-		case trace.KindRound:
-			if e.Round != next {
-				t.Fatalf("round %d out of order, want %d", e.Round, next)
+	o := optimizer.Options{Hosts: 4, PartitionsPerHost: 2, PartialAgg: true}
+	for _, d := range driveConfigs {
+		t.Run(d.name, func(t *testing.T) {
+			cfg := d.cfg
+			cfg.Costs, cfg.Params, cfg.Trace = DefaultCosts(), testParams, &trace.Config{}
+			res := runEngine(t, complexSet, core.MustParseSet("srcIP"), o, streams, cfg)
+			next := 0
+			var pk int64
+			lastWM := uint64(0)
+			flushes := 0
+			for _, e := range res.Trace.Records {
+				switch e.Kind {
+				case trace.KindRound:
+					if e.Round != next {
+						t.Fatalf("round %d out of order, want %d", e.Round, next)
+					}
+					if e.WM < lastWM {
+						t.Fatalf("round %d watermark %d regressed below %d", e.Round, e.WM, lastWM)
+					}
+					next++
+					lastWM = e.WM
+					pk += e.Rows
+				case trace.KindFlush:
+					flushes++
+					if e.Round != next {
+						t.Fatalf("flush round %d, want %d", e.Round, next)
+					}
+				}
 			}
-			if e.WM < lastWM {
-				t.Fatalf("round %d watermark %d regressed below %d", e.Round, e.WM, lastWM)
+			if flushes != 1 {
+				t.Fatalf("saw %d flush records, want 1", flushes)
 			}
-			next++
-			lastWM = e.WM
-			pk += e.Rows
-		case trace.KindFlush:
-			flushes++
-			if e.Round != next {
-				t.Fatalf("flush round %d, want %d", e.Round, next)
+			if pk != int64(len(tr.Packets)) {
+				t.Fatalf("round packet counts sum to %d, want %d", pk, len(tr.Packets))
 			}
-		}
-	}
-	if flushes != 1 {
-		t.Fatalf("saw %d flush records, want 1", flushes)
-	}
-	if pk != int64(len(tr.Packets)) {
-		t.Fatalf("round packet counts sum to %d, want %d", pk, len(tr.Packets))
+		})
 	}
 }
 
